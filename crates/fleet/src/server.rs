@@ -5,15 +5,34 @@
 //! accept thread ──try_send──▶ bounded queue ──recv──▶ conn workers
 //!       │ (queue full)                                     │
 //!       ▼                                                  ▼
-//!  429 + Retry-After                       keep-alive request loop,
-//!  straight on the socket                  per-request wall deadline
+//!  429 + Retry-After                       keep-alive request loop on
+//!  straight on the socket                  an http::Conn (TCP_NODELAY)
+//!
+//! one connection, an http::Conn under a BufReader:
+//!
+//!   parse request ──▶ serve ──▶ queue reply ──▶ more bytes buffered?
+//!      ▲    ▲                                     │ yes        │ no
+//!      │    └─────────────────────────────────────┘            ▼
+//!      │                                   send every queued reply in
+//!      │                                   one write_all, under the
+//!      │                                   write deadline
+//!      │                                                       │
+//!      └──── read, armed with the time left to the deadline ◀──┘
 //! ```
+//!
+//! Replies are sent only when the connection must block on the socket
+//! (or closes), so the server never waits for a request while one of
+//! its replies is unsent: a lone request is answered at once, and a
+//! pipelined burst is answered in one segment. The socket is no-delay,
+//! so a sent reply is never held back waiting for the client's ACK.
 //!
 //! Robustness contract, in order of degradation:
 //!
-//! 1. **Deadlines** — every request read is armed with the time left
-//!    until [`FleetConfig::conn_deadline`]; a stalled or trickling
-//!    client is cut off and counted (`fleet.conn_timeouts`).
+//! 1. **Deadlines** — every socket read is armed with the time left
+//!    until the request's [`FleetConfig::conn_deadline`], and every
+//!    send may block for at most that long; a stalled or trickling
+//!    client, or one that stops reading its replies, is cut off and
+//!    counted (`fleet.conn_timeouts`).
 //! 2. **Backpressure** — when in-flight pressure reaches
 //!    [`FleetConfig::reject_at`], or the accept queue is full, the
 //!    server answers `429 Too Many Requests` with a `Retry-After`
@@ -34,7 +53,7 @@
 use crate::protocol::{IngestBatch, IngestStatus};
 use crate::Fleet;
 use prefall_obsd::http;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
@@ -85,9 +104,6 @@ impl FleetServer {
                     while !stop.load(Ordering::Relaxed) {
                         match listener.accept() {
                             Ok((stream, _)) => {
-                                // Streams are served (and armed with
-                                // deadlines) in blocking mode.
-                                let _ = stream.set_nonblocking(false);
                                 fleet.pressure_inc();
                                 let depth = queued.fetch_add(1, Ordering::Relaxed) + 1;
                                 fleet.note_queue_depth(depth);
@@ -191,7 +207,7 @@ fn backoff_ms(base_ms: u64, consecutive_rejects: u32) -> u64 {
 
 /// Writes a `429 Too Many Requests` with `Retry-After` (whole seconds,
 /// rounded up, as HTTP wants) and the precise `Retry-After-Ms` hint.
-fn respond_429(stream: &mut TcpStream, retry_ms: u64, keep_alive: bool) -> io::Result<()> {
+fn respond_429(stream: &mut impl Write, retry_ms: u64, keep_alive: bool) -> io::Result<()> {
     let retry_s = retry_ms.div_ceil(1000).max(1);
     http::respond_with(
         stream,
@@ -208,77 +224,89 @@ fn respond_429(stream: &mut TcpStream, retry_ms: u64, keep_alive: bool) -> io::R
     )
 }
 
-/// Serves one connection's keep-alive request loop.
+/// Serves one connection's keep-alive request loop, counting a read or
+/// send cut off by the deadline as a connection timeout.
 fn serve_connection(fleet: &Fleet, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
+    let cfg = fleet.config();
+    let Ok(conn) = http::Conn::new(stream, cfg.conn_deadline) else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
-    let mut stream = stream;
+    let mut conn = BufReader::new(conn);
+    let served = serve_requests(fleet, &mut conn).and_then(|()| conn.get_mut().flush());
+    if served.is_err_and(|e| http::is_timeout(&e)) {
+        fleet.note_conn_timeout();
+    }
+}
+
+/// Answers requests until the peer closes, asks to close, or sends a
+/// malformed request. Replies are queued on the connection, which sends
+/// them before it next blocks on a read.
+fn serve_requests(fleet: &Fleet, conn: &mut BufReader<http::Conn>) -> io::Result<()> {
     let cfg = fleet.config();
     let mut consecutive_rejects: u32 = 0;
-
     loop {
         let deadline = Instant::now() + cfg.conn_deadline;
-        let request = match http::read_request(&mut reader, deadline, cfg.max_body) {
+        let request = match http::read_request(conn, deadline, cfg.max_body) {
             Ok(Some(request)) => request,
-            Ok(None) => return,
-            Err(e) => {
-                if http::is_timeout(&e) {
-                    fleet.note_conn_timeout();
-                } else if e.kind() == io::ErrorKind::InvalidData {
-                    let _ = http::respond_with(
-                        &mut stream,
-                        400,
-                        "Bad Request",
-                        "text/plain; charset=utf-8",
-                        format!("{e}\n").as_bytes(),
-                        false,
-                        false,
-                        &[],
-                    );
-                }
-                return;
+            Ok(None) => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                return http::respond_with(
+                    conn.get_mut(),
+                    400,
+                    "Bad Request",
+                    "text/plain; charset=utf-8",
+                    format!("{e}\n").as_bytes(),
+                    false,
+                    false,
+                    &[],
+                );
             }
+            Err(e) => return Err(e),
         };
 
         let keep_alive = request.keep_alive;
-        let served = match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/ingest") => serve_ingest(fleet, &mut stream, &request.body, keep_alive, {
-                &mut consecutive_rejects
-            }),
+        let head_only = request.method == "HEAD";
+        let out = conn.get_mut();
+        match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/ingest") => serve_ingest(
+                fleet,
+                out,
+                &request.body,
+                keep_alive,
+                &mut consecutive_rejects,
+            ),
             ("GET" | "HEAD", "/fleet") => http::respond_with(
-                &mut stream,
+                out,
                 200,
                 "OK",
                 "application/json",
                 fleet.stats().to_json().to_string().as_bytes(),
-                request.method == "HEAD",
+                head_only,
                 keep_alive,
                 &[],
             ),
             ("GET" | "HEAD", "/healthz") => http::respond_with(
-                &mut stream,
+                out,
                 200,
                 "OK",
                 "text/plain; charset=utf-8",
                 b"ok\n",
-                request.method == "HEAD",
+                head_only,
                 keep_alive,
                 &[],
             ),
             ("GET" | "HEAD", "/") => http::respond_with(
-                &mut stream,
+                out,
                 200,
                 "OK",
                 "text/plain; charset=utf-8",
                 b"prefall-fleet ingest: POST /ingest, GET /fleet /healthz\n",
-                request.method == "HEAD",
+                head_only,
                 keep_alive,
                 &[],
             ),
             _ => http::respond_with(
-                &mut stream,
+                out,
                 404,
                 "Not Found",
                 "text/plain; charset=utf-8",
@@ -287,9 +315,9 @@ fn serve_connection(fleet: &Fleet, stream: TcpStream) {
                 keep_alive,
                 &[],
             ),
-        };
-        if served.is_err() || !keep_alive {
-            return;
+        }?;
+        if !keep_alive {
+            return Ok(());
         }
     }
 }
@@ -297,7 +325,7 @@ fn serve_connection(fleet: &Fleet, stream: TcpStream) {
 /// Serves one `POST /ingest` request, applying the backpressure ladder.
 fn serve_ingest(
     fleet: &Fleet,
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     body: &[u8],
     keep_alive: bool,
     consecutive_rejects: &mut u32,
@@ -607,6 +635,156 @@ mod tests {
             assert!(Instant::now() < deadline, "timeout never counted");
             std::thread::sleep(Duration::from_millis(10));
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn pipelined_burst_is_answered_in_order() {
+        let (fleet, server) = start(FleetConfig::default());
+        let (mut stream, mut reader) = connect(&server);
+        let mut burst = Vec::new();
+        let mut expected = Vec::new();
+        let mut seq = 0;
+        for i in 0..64 {
+            let (body, code) = match i {
+                // A malformed batch in the middle: 400, connection kept.
+                31 => (b"bad".to_vec(), 400),
+                // A re-delivery of the batch just before it.
+                40 => (batch(3, seq - 10, 10).to_bytes(), 200),
+                47 => {
+                    burst.extend_from_slice(b"GET /fleet HTTP/1.1\r\n\r\n");
+                    expected.push((200, None));
+                    continue;
+                }
+                _ => {
+                    seq += 10;
+                    (batch(3, seq - 10, 10).to_bytes(), 200)
+                }
+            };
+            write!(
+                burst,
+                "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .unwrap();
+            burst.extend_from_slice(&body);
+            expected.push((code, (code == 200).then_some(seq)));
+        }
+        stream.write_all(&burst).unwrap();
+
+        for (i, (code, next_seq)) in expected.into_iter().enumerate() {
+            let resp = read_response(&mut reader);
+            assert_eq!(resp.code, code, "response {i}");
+            match next_seq {
+                Some(next_seq) => {
+                    let reply = IngestReply::from_json(&resp.json()).unwrap();
+                    assert_eq!(reply.next_seq, next_seq, "response {i}");
+                    let status = if i == 40 {
+                        IngestStatus::Duplicate
+                    } else {
+                        IngestStatus::Accepted
+                    };
+                    assert_eq!(reply.status, status, "response {i}");
+                }
+                None if code == 200 => {
+                    assert!(resp.json().get("sessions_active").is_some(), "response {i}")
+                }
+                None => {}
+            }
+        }
+        assert_eq!(fleet.stats().duplicates, 1);
+        // Close first, so the worker is not left waiting out the
+        // idle keep-alive deadline.
+        drop((stream, reader));
+        server.shutdown();
+    }
+
+    #[test]
+    fn trickled_request_is_cut_at_the_deadline() {
+        let (fleet, server) = start(FleetConfig {
+            conn_deadline: Duration::from_millis(150),
+            ..FleetConfig::default()
+        });
+        let (mut stream, _reader) = connect(&server);
+        let mut writer = stream.try_clone().unwrap();
+        let start = Instant::now();
+        // A valid request, one byte every 20 ms: 520 ms to send whole.
+        let trickle = std::thread::spawn(move || {
+            for byte in b"GET /healthz HTTP/1.1\r\n\r\n" {
+                if writer.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut rest = Vec::new();
+        let n = stream.read_to_end(&mut rest).unwrap_or(0);
+        let cut_after = start.elapsed();
+        assert_eq!(n, 0, "no reply to a request that missed its deadline");
+        assert!(
+            cut_after < Duration::from_millis(450),
+            "cut after {cut_after:?}, not at the 150 ms deadline"
+        );
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while fleet.stats().conn_timeouts == 0 {
+            assert!(Instant::now() < deadline, "timeout never counted");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        trickle.join().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_cut_and_the_next_is_served() {
+        let (fleet, server) = start(FleetConfig {
+            conn_workers: 1,
+            conn_deadline: Duration::from_millis(200),
+            ..FleetConfig::default()
+        });
+        // Pipelines requests with large replies and never reads one, so
+        // the server's sends fill both socket buffers and block.
+        let hog = TcpStream::connect(server.addr()).unwrap();
+        let mut writer = hog.try_clone().unwrap();
+        writer
+            .set_write_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let flood = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let requests = b"GET /fleet HTTP/1.1\r\n\r\n".repeat(256);
+                while !stop.load(Ordering::Relaxed) {
+                    match writer.write_all(&requests) {
+                        Ok(()) => {}
+                        Err(e) if http::is_timeout(&e) => {}
+                        Err(_) => return,
+                    }
+                }
+            })
+        };
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while fleet.stats().conn_timeouts == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        // Release the hog before asserting, so a failure cannot leave
+        // the worker blocked in its send and the test hung in shutdown.
+        stop.store(true, Ordering::Relaxed);
+        flood.join().unwrap();
+        let _ = hog.shutdown(std::net::Shutdown::Both);
+        assert_eq!(fleet.stats().conn_timeouts, 1, "the hog was cut once");
+
+        // The only worker is free again: a second client is served.
+        let (mut stream, mut reader) = connect(&server);
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        write!(stream, "GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(read_response(&mut reader).code, 200);
+        drop((stream, reader));
         server.shutdown();
     }
 }

@@ -298,38 +298,49 @@ fn handle_connection(
     sources: &Sources,
 ) -> std::io::Result<()> {
     use prefall_telemetry::Recorder;
+    use std::io::Write;
+    // The whole exchange — however slowly the client dribbles it —
+    // must fit in one deadline: the connection arms every socket read
+    // with the budget left, and every send with the full deadline.
+    let deadline = Instant::now() + config.conn_deadline;
+    let mut conn = BufReader::new(http::Conn::new(stream, config.conn_deadline)?);
+    let served = serve_request(&mut conn, deadline, registry, config, sources)
+        .and_then(|()| conn.get_mut().flush());
+    if let Err(e) = &served {
+        if http::is_timeout(e) {
+            // The slowloris counter: connections cut off mid-read or
+            // mid-send.
+            registry.counter_add("obsd.conn_timeouts", 1);
+        }
+    }
+    served
+}
+
+/// Reads one request off `conn` and queues its response there.
+fn serve_request(
+    conn: &mut BufReader<http::Conn>,
+    deadline: Instant,
+    registry: &Registry,
+    config: &ServerConfig,
+    sources: &Sources,
+) -> std::io::Result<()> {
     let incidents = sources.incidents.as_deref();
     let trace = sources.trace.as_deref();
     let watch = sources.watch.as_deref();
     let fleet = sources.fleet.as_deref();
     let drift = sources.drift.as_deref();
 
-    stream.set_nonblocking(false)?;
-    stream.set_write_timeout(Some(config.conn_deadline))?;
-    // The whole exchange — however slowly the client dribbles it —
-    // must fit in one deadline. `read_request` re-arms the socket
-    // timeout with the remaining budget before every read.
-    let deadline = Instant::now() + config.conn_deadline;
-    let mut reader = BufReader::new(stream);
-    let request = match http::read_request(&mut reader, deadline, 4096) {
-        Ok(Some(request)) => request,
+    let Some(request) = http::read_request(conn, deadline, 4096)? else {
         // Peer closed before sending anything: nothing to do.
-        Ok(None) => return Ok(()),
-        Err(e) => {
-            if http::is_timeout(&e) {
-                // The slowloris counter: connections cut off mid-read.
-                registry.counter_add("obsd.conn_timeouts", 1);
-            }
-            return Err(e);
-        }
+        return Ok(());
     };
     let method = request.method.as_str();
     let path = request.path.as_str();
 
-    let mut stream = reader.into_inner();
+    let stream = conn.get_mut();
     if method != "GET" && method != "HEAD" {
         return http::respond(
-            &mut stream,
+            stream,
             405,
             "Method Not Allowed",
             "text/plain; charset=utf-8",
@@ -556,14 +567,7 @@ fn handle_connection(
             "not found\n".to_string(),
         ),
     };
-    http::respond(
-        &mut stream,
-        code,
-        reason,
-        content_type,
-        &body,
-        method == "HEAD",
-    )
+    http::respond(stream, code, reason, content_type, &body, method == "HEAD")
 }
 
 /// The `/snapshot` document: the registry snapshot plus derived
