@@ -3,12 +3,14 @@
 //!
 //! ```text
 //! prefall-replay record-golden <path>   # record the canonical incident fixture
-//! prefall-replay verify <path>          # replay a dump; exit 0 iff bit-exact
+//! prefall-replay verify <path>          # re-encode and replay a dump; exit 0 iff bit-exact
 //! prefall-replay show <path>            # print the forensics document (JSON)
 //! prefall-replay selfcheck              # record in memory and verify (no file)
 //! ```
 //!
-//! `verify` is the CI gate: it rebuilds the detector from the model
+//! `verify` is the CI gate: it first requires that encoding the
+//! decoded dump reproduces the file byte for byte (so an encoder
+//! regression cannot pass), then rebuilds the detector from the model
 //! bundle embedded in the dump, re-feeds the recorded raw input
 //! stream, and compares every replayed window score to the recorded
 //! one with [`f32::to_bits`] — any divergence exits non-zero.
@@ -96,9 +98,10 @@ fn verify(dump: &IncidentDump) -> ExitCode {
     }
 }
 
-fn load(path: &str) -> Result<IncidentDump, String> {
+fn load(path: &str) -> Result<(IncidentDump, Vec<u8>), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-    IncidentDump::from_bytes(&bytes).map_err(|e| format!("parse {path}: {e}"))
+    let dump = IncidentDump::from_bytes(&bytes).map_err(|e| format!("parse {path}: {e}"))?;
+    Ok((dump, bytes))
 }
 
 fn main() -> ExitCode {
@@ -121,15 +124,21 @@ fn main() -> ExitCode {
             );
             verify(&dump)
         }
-        ["verify", path] => match load(path) {
-            Ok(dump) => verify(&dump),
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
+        ["verify", path] => {
+            match load(path) {
+                Ok((dump, bytes)) if dump.to_bytes() != bytes => {
+                    eprintln!("re-encode DIVERGED: {path} decodes, but encoding it again gives other bytes");
+                    ExitCode::from(2)
+                }
+                Ok((dump, _)) => verify(&dump),
+                Err(e) => {
+                    eprintln!("{e}");
+                    ExitCode::FAILURE
+                }
             }
-        },
+        }
         ["show", path] => match load(path) {
-            Ok(dump) => {
+            Ok((dump, _)) => {
                 println!("{}", dump.to_json(false));
                 ExitCode::SUCCESS
             }

@@ -82,3 +82,9 @@ impl std::fmt::Display for BlackboxError {
 }
 
 impl std::error::Error for BlackboxError {}
+
+impl From<prefall_telemetry::codec::CodecError> for BlackboxError {
+    fn from(e: prefall_telemetry::codec::CodecError) -> Self {
+        BlackboxError::Format(e.to_string())
+    }
+}

@@ -224,8 +224,18 @@ mod tests {
         Dataset::combined_scaled(1, 1, 42).unwrap()
     }
 
+    /// `env_kill_switch_bypasses_the_cache` sets [`CACHE_ENV`] for the
+    /// whole process, so every test that goes through the cache holds
+    /// this lock while it runs.
+    fn env_lock() -> std::sync::MutexGuard<'static, ()> {
+        static ENV: Mutex<()> = Mutex::new(());
+        ENV.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn hit_returns_the_same_set_without_recompute() {
+        let _env = env_lock();
         let ds = dataset();
         let p = Pipeline::new(PipelineConfig::paper(200.0, Overlap::Half)).unwrap();
         let cache = SegmentCache::default();
@@ -243,6 +253,7 @@ mod tests {
 
     #[test]
     fn different_configs_get_different_entries() {
+        let _env = env_lock();
         let ds = dataset();
         let p200 = Pipeline::new(PipelineConfig::paper(200.0, Overlap::Half)).unwrap();
         let p400 = Pipeline::new(PipelineConfig::paper_400ms()).unwrap();
@@ -257,6 +268,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
+        let _env = env_lock();
         let ds = dataset();
         let cache = SegmentCache::with_capacity(2);
         let reg = Registry::new();
@@ -276,6 +288,7 @@ mod tests {
 
     #[test]
     fn env_kill_switch_bypasses_the_cache() {
+        let _env = env_lock();
         let ds = dataset();
         let p = Pipeline::new(PipelineConfig::paper(200.0, Overlap::Half)).unwrap();
         let cache = SegmentCache::default();

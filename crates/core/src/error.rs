@@ -75,6 +75,15 @@ impl From<prefall_mcu::McuError> for CoreError {
     }
 }
 
+/// Malformed detector-bundle or session-checkpoint bytes.
+impl From<prefall_telemetry::codec::CodecError> for CoreError {
+    fn from(e: prefall_telemetry::codec::CodecError) -> Self {
+        CoreError::InvalidConfig {
+            reason: format!("malformed bytes: {e}"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

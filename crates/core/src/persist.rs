@@ -6,7 +6,8 @@
 //! detector trained today can be reloaded bit-identically tomorrow (or
 //! shipped next to the firmware image).
 //!
-//! Format (little-endian):
+//! Format (little-endian, written and read through
+//! [`prefall_telemetry::codec`]):
 //!
 //! ```text
 //! magic "PFDB" | u32 version
@@ -16,15 +17,20 @@
 //! | normalizer: u32 n, f32 means × n, f32 stds × n
 //! | u32 weight-blob len | weight blob (prefall-nn serialize format)
 //! ```
+//!
+//! A bundle is untrusted input (every incident dump embeds one), so the
+//! decoder refuses a window longer than [`MAX_WINDOW`] rows or more
+//! than [`MAX_CHANNELS`] channels before it builds any network.
 
 use crate::models::ModelKind;
 use crate::pipeline::PipelineConfig;
+use crate::session::{MAX_CHANNELS, MAX_WINDOW};
 use crate::CoreError;
-use bytes::{Buf, BufMut, BytesMut};
 use prefall_dsp::segment::{Overlap, Segmentation};
 use prefall_dsp::stats::Normalizer;
 use prefall_nn::network::Network;
 use prefall_nn::serialize::{load_weights, save_weights};
+use prefall_telemetry::codec::{Reader, Writer};
 
 const MAGIC: &[u8; 4] = b"PFDB";
 const VERSION: u32 = 1;
@@ -94,34 +100,34 @@ impl DetectorBundle {
     /// Serialises the bundle.
     pub fn to_bytes(&mut self) -> Vec<u8> {
         let weights = save_weights(&mut self.network);
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u8(model_tag(self.model));
-        buf.put_u32_le(self.window as u32);
-        buf.put_u32_le(self.channels as u32);
-        buf.put_u64_le(self.init_seed);
+        let mut w = Writer::new();
+        w.bytes(MAGIC);
+        w.u32(VERSION);
+        w.u8(model_tag(self.model));
+        w.u32(self.window as u32);
+        w.u32(self.channels as u32);
+        w.u64(self.init_seed);
 
         let p = &self.pipeline;
-        buf.put_f64_le(p.filter_cutoff_hz);
-        buf.put_u32_le(p.filter_order as u32);
-        buf.put_u32_le(p.segmentation.window() as u32);
-        buf.put_u8(overlap_tag(p.segmentation.overlap()));
-        buf.put_f64_le(p.positive_overlap);
-        buf.put_f64_le(p.discard_margin_s);
-        buf.put_u32_le(p.airbag_budget_samples as u32);
+        w.f64(p.filter_cutoff_hz);
+        w.u32(p.filter_order as u32);
+        w.u32(p.segmentation.window() as u32);
+        w.u8(overlap_tag(p.segmentation.overlap()));
+        w.f64(p.positive_overlap);
+        w.f64(p.discard_margin_s);
+        w.u32(p.airbag_budget_samples as u32);
 
-        buf.put_u32_le(self.normalizer.channels() as u32);
+        w.u32(self.normalizer.channels() as u32);
         for &m in self.normalizer.means() {
-            buf.put_f32_le(m);
+            w.f32(m);
         }
         for &s in self.normalizer.stds() {
-            buf.put_f32_le(s);
+            w.f32(s);
         }
 
-        buf.put_u32_le(weights.len() as u32);
-        buf.put_slice(&weights);
-        buf.to_vec()
+        w.u32(weights.len() as u32);
+        w.bytes(&weights);
+        w.finish()
     }
 
     /// Deserialises a bundle, rebuilding the architecture and loading
@@ -129,38 +135,35 @@ impl DetectorBundle {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for malformed blobs and
-    /// propagates model/weight errors.
+    /// Returns [`CoreError::InvalidConfig`] for malformed blobs
+    /// (including trailing bytes and implausible window or channel
+    /// counts) and propagates model/weight errors.
     pub fn from_bytes(blob: &[u8]) -> Result<Self, CoreError> {
-        let mut buf = blob;
         let bad = |reason: &str| CoreError::InvalidConfig {
             reason: format!("detector bundle: {reason}"),
         };
-        if buf.remaining() < 8 || &buf[..4] != MAGIC {
+        let mut r = Reader::new(blob);
+        if r.bytes(4)? != MAGIC {
             return Err(bad("bad magic"));
         }
-        buf.advance(4);
-        if buf.get_u32_le() != VERSION {
+        if r.u32()? != VERSION {
             return Err(bad("unsupported version"));
         }
-        if buf.remaining() < 1 + 4 + 4 + 8 {
-            return Err(bad("truncated header"));
-        }
-        let model = model_from_tag(buf.get_u8()).ok_or_else(|| bad("unknown model tag"))?;
-        let window = buf.get_u32_le() as usize;
-        let channels = buf.get_u32_le() as usize;
-        let init_seed = buf.get_u64_le();
+        let model = model_from_tag(r.u8()?).ok_or_else(|| bad("unknown model tag"))?;
+        let window = r.u32()? as usize;
+        let channels = r.u32()? as usize;
+        let init_seed = r.u64()?;
 
-        if buf.remaining() < 8 + 4 + 4 + 1 + 8 + 8 + 4 {
-            return Err(bad("truncated pipeline config"));
+        let filter_cutoff_hz = r.f64()?;
+        let filter_order = r.u32()? as usize;
+        let seg_window = r.u32()? as usize;
+        let overlap = overlap_from_tag(r.u8()?).ok_or_else(|| bad("unknown overlap tag"))?;
+        if window.max(seg_window) > MAX_WINDOW || channels > MAX_CHANNELS {
+            return Err(bad("implausible window or channel count"));
         }
-        let filter_cutoff_hz = buf.get_f64_le();
-        let filter_order = buf.get_u32_le() as usize;
-        let seg_window = buf.get_u32_le() as usize;
-        let overlap = overlap_from_tag(buf.get_u8()).ok_or_else(|| bad("unknown overlap tag"))?;
-        let positive_overlap = buf.get_f64_le();
-        let discard_margin_s = buf.get_f64_le();
-        let airbag_budget_samples = buf.get_u32_le() as usize;
+        let positive_overlap = r.f64()?;
+        let discard_margin_s = r.f64()?;
+        let airbag_budget_samples = r.u32()? as usize;
         let segmentation = Segmentation::new(seg_window, overlap)?;
         let pipeline = PipelineConfig {
             filter_cutoff_hz,
@@ -171,24 +174,18 @@ impl DetectorBundle {
             airbag_budget_samples,
         };
 
-        if buf.remaining() < 4 {
-            return Err(bad("truncated normalizer"));
-        }
-        let n = buf.get_u32_le() as usize;
-        if buf.remaining() < n * 8 + 4 {
-            return Err(bad("truncated normalizer data"));
-        }
-        let means: Vec<f32> = (0..n).map(|_| buf.get_f32_le()).collect();
-        let stds: Vec<f32> = (0..n).map(|_| buf.get_f32_le()).collect();
+        let n = r.u32()? as usize;
+        let n = r.count(n, 8)?;
+        let means = (0..n).map(|_| r.f32()).collect::<Result<_, _>>()?;
+        let stds = (0..n).map(|_| r.f32()).collect::<Result<_, _>>()?;
         let normalizer = Normalizer::from_parts(means, stds)
             .map_err(|reason| bad(&format!("normalizer: {reason}")))?;
 
-        let wlen = buf.get_u32_le() as usize;
-        if buf.remaining() < wlen {
-            return Err(bad("truncated weights"));
-        }
+        let wlen = r.u32()? as usize;
+        let weights = r.bytes(wlen)?;
+        r.finish()?;
         let mut network = model.build(window, channels, init_seed)?;
-        load_weights(&mut network, &buf[..wlen])?;
+        load_weights(&mut network, weights)?;
 
         Ok(Self {
             model,
@@ -249,6 +246,21 @@ mod tests {
         let mut bad_model = blob;
         bad_model[8] = 99;
         assert!(DetectorBundle::from_bytes(&bad_model).is_err());
+    }
+
+    #[test]
+    fn forged_shapes_and_trailing_bytes_are_refused() {
+        let blob = bundle().to_bytes();
+        // A window of 2^30 rows would size a dense layer in terabytes.
+        let mut forged = blob.clone();
+        forged[9..13].copy_from_slice(&0x4000_0000u32.to_le_bytes());
+        assert!(DetectorBundle::from_bytes(&forged).is_err());
+        let mut forged = blob.clone();
+        forged[13..17].copy_from_slice(&65u32.to_le_bytes());
+        assert!(DetectorBundle::from_bytes(&forged).is_err());
+        let mut long = blob;
+        long.push(0);
+        assert!(DetectorBundle::from_bytes(&long).is_err());
     }
 
     #[test]

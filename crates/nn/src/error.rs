@@ -54,6 +54,14 @@ impl fmt::Display for NnError {
 
 impl Error for NnError {}
 
+impl From<prefall_telemetry::codec::CodecError> for NnError {
+    fn from(e: prefall_telemetry::codec::CodecError) -> Self {
+        NnError::WeightMismatch {
+            reason: e.to_string(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

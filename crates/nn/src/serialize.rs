@@ -1,6 +1,7 @@
 //! Weight (de)serialisation to a compact binary blob.
 //!
-//! Format (little-endian):
+//! Format (little-endian, written and read through
+//! [`prefall_telemetry::codec`]):
 //!
 //! ```text
 //! magic "PFNN" | u32 version | u32 n_blocks |
@@ -9,29 +10,28 @@
 
 use crate::network::Network;
 use crate::NnError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use prefall_telemetry::codec::{Reader, Writer};
 
 const MAGIC: &[u8; 4] = b"PFNN";
 const VERSION: u32 = 1;
 
 /// Serialises a network's parameters.
-pub fn save_weights(net: &mut Network) -> Bytes {
-    let mut blocks: Vec<(String, Vec<f32>)> = Vec::new();
-    net.visit_params(&mut |p| blocks.push((p.name.clone(), p.w.clone())));
-
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(blocks.len() as u32);
-    for (name, w) in blocks {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-        buf.put_u32_le(w.len() as u32);
-        for v in w {
-            buf.put_f32_le(v);
+pub fn save_weights(net: &mut Network) -> Vec<u8> {
+    let mut blocks = 0u32;
+    net.visit_params(&mut |_| blocks += 1);
+    let mut w = Writer::new();
+    w.bytes(MAGIC);
+    w.u32(VERSION);
+    w.u32(blocks);
+    net.visit_params(&mut |p| {
+        w.u32(p.name.len() as u32);
+        w.bytes(p.name.as_bytes());
+        w.u32(p.w.len() as u32);
+        for &v in &p.w {
+            w.f32(v);
         }
-    }
-    buf.freeze()
+    });
+    w.finish()
 }
 
 /// Loads parameters saved by [`save_weights`] into a structurally
@@ -39,44 +39,34 @@ pub fn save_weights(net: &mut Network) -> Bytes {
 ///
 /// # Errors
 ///
-/// Returns [`NnError::WeightMismatch`] on a malformed blob or any
-/// name/size disagreement with the target network.
+/// Returns [`NnError::WeightMismatch`] on a malformed blob (bad magic
+/// or version, truncation, trailing bytes) or any name/size
+/// disagreement with the target network.
 pub fn load_weights(net: &mut Network, blob: &[u8]) -> Result<(), NnError> {
-    let mut buf = blob;
     let fail = |reason: &str| NnError::WeightMismatch {
         reason: reason.to_string(),
     };
-    if buf.remaining() < 12 || &buf[..4] != MAGIC {
+    let mut r = Reader::new(blob);
+    if r.bytes(4)? != MAGIC {
         return Err(fail("bad magic"));
     }
-    buf.advance(4);
-    if buf.get_u32_le() != VERSION {
+    if r.u32()? != VERSION {
         return Err(fail("unsupported version"));
     }
-    let n_blocks = buf.get_u32_le() as usize;
-
-    let mut blocks: Vec<(String, Vec<f32>)> = Vec::with_capacity(n_blocks);
+    // Each block holds at least its two u32 length fields.
+    let n_blocks = r.u32()? as usize;
+    let n_blocks = r.count(n_blocks, 8)?;
+    let mut blocks: Vec<(&str, Vec<f32>)> = Vec::with_capacity(n_blocks);
     for _ in 0..n_blocks {
-        if buf.remaining() < 4 {
-            return Err(fail("truncated blob"));
-        }
-        let name_len = buf.get_u32_le() as usize;
-        if buf.remaining() < name_len + 4 {
-            return Err(fail("truncated name"));
-        }
+        let name_len = r.u32()? as usize;
         let name =
-            String::from_utf8(buf[..name_len].to_vec()).map_err(|_| fail("name is not utf-8"))?;
-        buf.advance(name_len);
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len * 4 {
-            return Err(fail("truncated weights"));
-        }
-        let mut w = Vec::with_capacity(len);
-        for _ in 0..len {
-            w.push(buf.get_f32_le());
-        }
+            std::str::from_utf8(r.bytes(name_len)?).map_err(|_| fail("name is not utf-8"))?;
+        let len = r.u32()? as usize;
+        let len = r.count(len, 4)?;
+        let w = (0..len).map(|_| r.f32()).collect::<Result<_, _>>()?;
         blocks.push((name, w));
     }
+    r.finish()?;
 
     // Apply, verifying structure.
     let mut i = 0;
@@ -152,6 +142,22 @@ mod tests {
         let mut bad_magic = blob.to_vec();
         bad_magic[0] = b'X';
         assert!(load_weights(&mut net, &bad_magic).is_err());
+    }
+
+    #[test]
+    fn huge_counts_and_trailing_bytes_are_refused() {
+        let mut net = make_net(1);
+        // 16 bytes claiming u32::MAX blocks: refused before any
+        // allocation is sized by the count.
+        let mut forged = b"PFNN".to_vec();
+        forged.extend_from_slice(&1u32.to_le_bytes());
+        forged.extend_from_slice(&u32::MAX.to_le_bytes());
+        forged.extend_from_slice(&[0u8; 4]);
+        assert_eq!(forged.len(), 16);
+        assert!(load_weights(&mut net, &forged).is_err());
+        let mut long = save_weights(&mut net);
+        long.push(0);
+        assert!(load_weights(&mut net, &long).is_err());
     }
 
     #[test]

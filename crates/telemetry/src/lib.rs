@@ -29,7 +29,13 @@
 //! with mergeable [`Snapshot`]s, a [`JsonlWriter`] event log,
 //! a stderr [`ConsoleRecorder`] for progress lines, and a
 //! human-readable summary table ([`summary::render`]).
+//!
+//! The crate also holds the workspace's two codecs: the JSON of
+//! [`JsonValue`] and the little-endian binary [`codec`] every byte
+//! format (weights, bundles, dumps, fingerprints, batches,
+//! checkpoints) encodes through.
 
+pub mod codec;
 pub mod env;
 pub mod histogram;
 pub mod jsonl;

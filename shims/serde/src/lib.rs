@@ -4,9 +4,11 @@
 //! real `serde` cannot be vendored. Nothing in the repository actually
 //! serializes through serde traits — the `#[derive(Serialize, Deserialize)]`
 //! annotations on config and model structs are declarations of intent, and
-//! all real persistence goes through the hand-rolled binary format in
-//! `prefall-nn::serialize` / `prefall-core::persist` and the hand-rolled
-//! JSON in `prefall-telemetry`. This shim keeps those derives compiling:
+//! all real persistence goes through the two codecs in `prefall-telemetry`:
+//! the binary `prefall_telemetry::codec` that every byte format (weights,
+//! bundles, incident dumps, fingerprints, ingest batches, checkpoints)
+//! encodes through, and the JSON of `JsonValue`. This shim keeps those
+//! derives compiling:
 //! marker traits in the type namespace, no-op derive macros in the macro
 //! namespace, same import shape as the real crate.
 
