@@ -65,8 +65,10 @@ fn grid_config() -> ExperimentConfig {
 /// Streams synthetic samples through a fresh detector at `window_ms`
 /// and returns the wall time of each of the [`INFER_WINDOWS`] pushes
 /// that completed a hop (segment assembly + normalise + inference).
-/// With `reference` set, the naive seed kernels and the allocating
-/// inference path are forced for the duration.
+/// With `reference` set, the naive seed kernels are forced for the
+/// duration: the detector's one workspace interpreter then runs every
+/// layer through its reference kernel, with no fused peephole and no
+/// packed weights.
 fn measure_infer(window_ms: f64, reference: bool) -> Vec<f64> {
     let det_cfg = DetectorConfig {
         pipeline: PipelineConfig::paper(window_ms, Overlap::Half),

@@ -355,7 +355,7 @@ impl DetectorTap for FlightRecorder {
 /// Builds a [`StreamingDetector`] from serialized
 /// [`DetectorBundle`](prefall_core::persist::DetectorBundle) bytes and
 /// arms it with a flight recorder — the deployment entry point, and
-/// the construction [`crate::replay`] mirrors.
+/// the construction [`crate::replay()`] mirrors.
 ///
 /// # Errors
 ///

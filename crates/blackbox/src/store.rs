@@ -9,7 +9,7 @@
 //! * `GET /incidents/{id}` — full forensics document (decision trace,
 //!   guard counters, hashes) plus the complete binary dump as
 //!   `dump_hex`, ready for [`crate::dump::IncidentDump::from_hex`] and
-//!   [`crate::replay`] on an analyst's machine.
+//!   [`crate::replay()`] on an analyst's machine.
 //!
 //! The server also feeds every `/healthz` verdict back through
 //! [`IncidentSource::on_health_status`]; a rising edge into degraded

@@ -22,6 +22,7 @@
 use crate::pipeline::{Pipeline, PipelineConfig, SegmentSet};
 use prefall_imu::subject::DatasetSource;
 use prefall_imu::trial::Trial;
+use prefall_telemetry::codec::Fnv1a;
 use prefall_telemetry::Recorder;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -37,60 +38,39 @@ fn cache_disabled() -> bool {
     std::env::var(CACHE_ENV).is_ok_and(|v| v.trim() == "0")
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-}
-
 /// Content hash of everything that determines a segment set: the full
 /// pipeline configuration plus every trial's identity, fall markers and
 /// raw channel data (`f32::to_bits`, so any single-sample change moves
 /// the key).
 fn content_key(config: &PipelineConfig, trials: &[Trial]) -> u64 {
-    let mut h = Fnv::new();
-    h.f64(config.filter_cutoff_hz);
-    h.u64(config.filter_order as u64);
-    h.u64(config.segmentation.window() as u64);
-    h.u64(config.segmentation.hop() as u64);
-    h.f64(config.positive_overlap);
-    h.f64(config.discard_margin_s);
-    h.u64(config.airbag_budget_samples as u64);
-    h.u64(trials.len() as u64);
+    let mut h = Fnv1a::new();
+    let mut put = |v: u64| h.write(&v.to_le_bytes());
+    put(config.filter_cutoff_hz.to_bits());
+    put(config.filter_order as u64);
+    put(config.segmentation.window() as u64);
+    put(config.segmentation.hop() as u64);
+    put(config.positive_overlap.to_bits());
+    put(config.discard_margin_s.to_bits());
+    put(config.airbag_budget_samples as u64);
+    put(trials.len() as u64);
     for trial in trials {
-        h.u64(u64::from(trial.subject.0));
-        h.u64(u64::from(trial.task.get()));
-        h.u64(u64::from(trial.trial_index));
-        h.u64(match trial.source {
+        put(u64::from(trial.subject.0));
+        put(u64::from(trial.task.get()));
+        put(u64::from(trial.trial_index));
+        put(match trial.source {
             DatasetSource::KFall => 0,
             DatasetSource::SelfCollected => 1,
         });
-        h.u64(trial.fall_start().map_or(u64::MAX, |s| s as u64));
-        h.u64(trial.impact().map_or(u64::MAX, |s| s as u64));
-        h.u64(trial.len() as u64);
+        put(trial.fall_start().map_or(u64::MAX, |s| s as u64));
+        put(trial.impact().map_or(u64::MAX, |s| s as u64));
+        put(trial.len() as u64);
         for ch in trial.channels() {
             for &v in ch {
-                h.u64(u64::from(v.to_bits()));
+                put(u64::from(v.to_bits()));
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 struct Entry {
@@ -300,6 +280,16 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &b), "bypass must recompute");
         assert!(cache.is_empty());
         assert_eq!(*a, *b);
+    }
+
+    /// Known-answer keys: a change here silently re-keys every cache
+    /// entry.
+    #[test]
+    fn content_keys_are_pinned() {
+        let cfg = PipelineConfig::paper(200.0, Overlap::Half);
+        assert_eq!(content_key(&cfg, &[]), 0xa21d_d4f0_bed9_cf04);
+        let ds = dataset();
+        assert_eq!(content_key(&cfg, ds.trials()), 0xbe01_cff0_d337_adea);
     }
 
     #[test]

@@ -44,22 +44,21 @@
 //!
 //! # Fleet split
 //!
-//! [`StreamingDetector`] is the one-wearer face of a two-part core:
-//! an immutable [`ModelBundle`](crate::session::ModelBundle) (weights,
-//! normaliser, configuration) driving a poolable
-//! [`Session`](crate::session::Session) (guard, filters, window,
-//! scratch). A fleet server shares one bundle across thousands of
-//! sessions — see [`crate::session`].
+//! [`StreamingDetector`] is the one-wearer face of a two-part core: an
+//! immutable [`ModelBundle`] (weights, normaliser, configuration)
+//! driving a poolable [`Session`] (guard, filters, window, scratch). A
+//! fleet server shares one bundle across thousands of sessions, and
+//! every window of either scores through the same `&ModelBundle` call —
+//! see [`crate::session`].
 
 use crate::pipeline::{Pipeline, PipelineConfig};
-use crate::session::{EngineCtx, EngineRef, ModelBundle, Session, SessionCheckpoint, TickOutcome};
+use crate::session::{ModelBundle, Session, SessionCheckpoint, TickOutcome};
 use crate::tap::DetectorTap;
 use crate::CoreError;
 use prefall_dsp::stats::Normalizer;
 use prefall_imu::channel::Channel;
 use prefall_imu::trial::Trial;
 use prefall_imu::{AIRBAG_INFLATION_SAMPLES, SAMPLE_PERIOD_MS};
-use prefall_nn::kernels::reference_kernels;
 use prefall_nn::network::{BranchStat, Network};
 use prefall_nn::quant::QuantizedNetwork;
 use prefall_nn::workspace::Workspace;
@@ -443,6 +442,12 @@ pub(crate) fn emit_guard_deltas(rec: &dyn Recorder, before: &GuardStatus, after:
 
 /// The inference engine a detector runs: the float training network or
 /// the int8 model actually deployed on the microcontroller.
+///
+/// An engine scores windows only inside a [`ModelBundle`], through
+/// `&self`: one engine serves one wearer's [`StreamingDetector`] and a
+/// fleet of [`Session`]s alike, by the same call. Float engines run the
+/// allocation-free workspace interpreter, so the bundle refuses at
+/// construction any network that interpreter cannot run.
 #[derive(Debug)]
 pub enum Engine {
     /// Float inference (development/evaluation).
@@ -460,195 +465,41 @@ impl Engine {
         }
     }
 
-    /// Sigmoid probability for one preprocessed segment.
+    /// Sigmoid probability for one preprocessed segment. Float engines
+    /// run the workspace interpreter (packed kernels, or the naive ones
+    /// under [`prefall_nn::kernels::set_reference_kernels`]); quantized
+    /// engines run the int8 model. With `trace`, the per-branch
+    /// activations of the modality split land in it (cleared first;
+    /// left empty for quantized engines and split-less models). The
+    /// score is bit-identical with and without tracing — incident
+    /// replay relies on this.
     ///
-    /// No input validation — and worse than NaN-in/NaN-out: the ReLU
+    /// No input validation, and worse than NaN-in/NaN-out: the ReLU
     /// and max-pool layers use `f32::max`, which maps NaN to the other
     /// operand, so a corrupted segment is silently *laundered* into a
-    /// finite but meaningless score. The output alone cannot reveal
-    /// the corruption; validate at the input boundary with
-    /// [`Engine::try_predict_proba`] when the segment may be
-    /// corrupted.
-    pub fn predict_proba(&mut self, segment: &[f32]) -> f32 {
-        match self {
-            Engine::Float(n) => prefall_nn::loss::sigmoid(n.forward(segment)[0]),
-            Engine::Quantized(q) => q.predict_proba(segment),
-        }
-    }
-
-    /// Validated inference: returns `None` instead of a garbage score
-    /// when the segment contains a non-finite value, or when the
-    /// engine itself produces one. This is the only reliable check —
-    /// see [`Engine::predict_proba`] for why the output side cannot
-    /// detect a poisoned segment. The hardened detector maps `None`
-    /// to probability 0 and counts the reject.
-    pub fn try_predict_proba(&mut self, segment: &[f32]) -> Option<f32> {
-        if segment.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let p = self.predict_proba(segment);
-        p.is_finite().then_some(p)
-    }
-
-    /// [`Engine::predict_proba`] additionally tracing per-branch
-    /// activations of the modality split into `trace` (cleared first;
-    /// left empty for quantized engines and split-less models). The
-    /// returned probability is **bit-identical** to the untraced path
-    /// — incident replay relies on this.
-    pub fn predict_proba_traced(&mut self, segment: &[f32], trace: &mut Vec<BranchStat>) -> f32 {
-        match self {
-            Engine::Float(n) => {
-                let out = n.forward_traced_into(segment, trace);
-                prefall_nn::loss::sigmoid(out[0])
-            }
-            Engine::Quantized(q) => {
-                trace.clear();
-                q.predict_proba(segment)
-            }
-        }
-    }
-
-    /// [`Engine::try_predict_proba`] with branch tracing (see
-    /// [`Engine::predict_proba_traced`]). `trace` is cleared even when
-    /// the segment is rejected.
-    pub fn try_predict_proba_traced(
-        &mut self,
+    /// finite but meaningless score. Only the input can reveal the
+    /// corruption, so the guarded session checks the segment first.
+    pub(crate) fn score(
+        &self,
         segment: &[f32],
-        trace: &mut Vec<BranchStat>,
-    ) -> Option<f32> {
-        trace.clear();
-        if segment.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let p = self.predict_proba_traced(segment, trace);
-        p.is_finite().then_some(p)
-    }
-
-    /// [`Engine::predict_proba`] through a caller-owned [`Workspace`]:
-    /// float engines with interpreter-supported architectures run the
-    /// fused, allocation-free kernel path; quantized engines,
-    /// unsupported layer stacks, and runs with the reference kernels
-    /// forced on fall back to the allocating path. The returned score
-    /// is **bit-identical** either way.
-    pub fn predict_proba_in(&mut self, segment: &[f32], ws: &mut Workspace) -> f32 {
-        if !reference_kernels() {
-            if let Engine::Float(n) = self {
-                if let Some(logit) = n.infer_scalar(segment, ws) {
-                    return prefall_nn::loss::sigmoid(logit);
-                }
-            }
-        }
-        self.predict_proba(segment)
-    }
-
-    /// [`Engine::try_predict_proba`] through a caller-owned
-    /// [`Workspace`] (see [`Engine::predict_proba_in`]).
-    pub fn try_predict_proba_in(&mut self, segment: &[f32], ws: &mut Workspace) -> Option<f32> {
-        if segment.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let p = self.predict_proba_in(segment, ws);
-        p.is_finite().then_some(p)
-    }
-
-    /// [`Engine::predict_proba_traced`] through a caller-owned
-    /// [`Workspace`]: probability *and* branch statistics are
-    /// bit-identical to the allocating traced path.
-    pub fn predict_proba_traced_in(
-        &mut self,
-        segment: &[f32],
-        trace: &mut Vec<BranchStat>,
         ws: &mut Workspace,
+        trace: Option<&mut Vec<BranchStat>>,
     ) -> f32 {
-        if !reference_kernels() {
-            if let Engine::Float(n) = self {
-                trace.clear();
-                if let Some(logit) = n.infer_scalar_traced(segment, ws, trace) {
-                    return prefall_nn::loss::sigmoid(logit);
+        let logit = match self {
+            Engine::Quantized(q) => {
+                if let Some(t) = trace {
+                    t.clear();
                 }
+                return q.predict_proba(segment);
             }
-        }
-        self.predict_proba_traced(segment, trace)
-    }
-
-    /// [`Engine::try_predict_proba_traced`] through a caller-owned
-    /// [`Workspace`] (see [`Engine::predict_proba_traced_in`]).
-    pub fn try_predict_proba_traced_in(
-        &mut self,
-        segment: &[f32],
-        trace: &mut Vec<BranchStat>,
-        ws: &mut Workspace,
-    ) -> Option<f32> {
-        trace.clear();
-        if segment.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let p = self.predict_proba_traced_in(segment, trace, ws);
-        p.is_finite().then_some(p)
-    }
-
-    /// [`Engine::predict_proba_in`] through `&self`, for fleet serving
-    /// where one engine is shared immutably across sessions: float
-    /// engines run the allocation-free scalar interpreter only
-    /// (bit-identical scores to the default exclusive path), quantized
-    /// engines score directly. Returns `None` for architectures the
-    /// interpreter cannot run (the LSTM/ConvLSTM baselines) — check
-    /// [`ModelBundle::supports_shared_inference`] once at construction
-    /// instead of discovering it per window.
-    ///
-    /// [`ModelBundle::supports_shared_inference`]:
-    ///     crate::session::ModelBundle::supports_shared_inference
-    pub fn predict_proba_shared(&self, segment: &[f32], ws: &mut Workspace) -> Option<f32> {
-        match self {
-            Engine::Float(n) => n.infer_scalar(segment, ws).map(prefall_nn::loss::sigmoid),
-            Engine::Quantized(q) => Some(q.predict_proba(segment)),
-        }
-    }
-
-    /// [`Engine::try_predict_proba_in`] through `&self` (see
-    /// [`Engine::predict_proba_shared`]). `None` means either a
-    /// non-finite segment or an unsupported architecture.
-    pub fn try_predict_proba_shared(&self, segment: &[f32], ws: &mut Workspace) -> Option<f32> {
-        if segment.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let p = self.predict_proba_shared(segment, ws)?;
-        p.is_finite().then_some(p)
-    }
-
-    /// [`Engine::predict_proba_traced_in`] through `&self` (see
-    /// [`Engine::predict_proba_shared`]). `trace` is cleared first and
-    /// left empty for quantized engines.
-    pub fn predict_proba_traced_shared(
-        &self,
-        segment: &[f32],
-        trace: &mut Vec<BranchStat>,
-        ws: &mut Workspace,
-    ) -> Option<f32> {
-        trace.clear();
-        match self {
-            Engine::Float(n) => n
-                .infer_scalar_traced(segment, ws, trace)
-                .map(prefall_nn::loss::sigmoid),
-            Engine::Quantized(q) => Some(q.predict_proba(segment)),
-        }
-    }
-
-    /// [`Engine::try_predict_proba_traced_in`] through `&self` (see
-    /// [`Engine::predict_proba_shared`]). `trace` is cleared even when
-    /// the segment is rejected.
-    pub fn try_predict_proba_traced_shared(
-        &self,
-        segment: &[f32],
-        trace: &mut Vec<BranchStat>,
-        ws: &mut Workspace,
-    ) -> Option<f32> {
-        trace.clear();
-        if segment.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let p = self.predict_proba_traced_shared(segment, trace, ws)?;
-        p.is_finite().then_some(p)
+            Engine::Float(n) => match trace {
+                Some(t) => n.infer_scalar_traced(segment, ws, t),
+                None => n.infer_scalar(segment, ws),
+            },
+        };
+        // `ModelBundle::new` refuses networks the interpreter cannot
+        // run, so `None` does not occur; NaN would be the honest score.
+        logit.map_or(f32::NAN, prefall_nn::loss::sigmoid)
     }
 }
 
@@ -671,14 +522,10 @@ impl From<QuantizedNetwork> for Engine {
 /// A streaming pre-impact fall detector wrapping a trained network.
 ///
 /// Internally this is a [`ModelBundle`] (the immutable model half)
-/// driving a single [`Session`] (the per-stream half) through the
-/// exclusive `&mut` engine path — the one-wearer special case of the
-/// fleet split in [`crate::session`], with behaviour bit-identical to
-/// the pre-split detector. [`StreamingDetector::into_parts`] releases
-/// the halves for fleet use.
-///
-/// [`ModelBundle`]: crate::session::ModelBundle
-/// [`Session`]: crate::session::Session
+/// driving a single [`Session`] (the per-stream half): every push is
+/// `session.push_*(&bundle, …)`, the very call a fleet makes for each
+/// of its wearers, so the two cannot disagree.
+/// [`StreamingDetector::into_parts`] releases the halves for fleet use.
 #[derive(Debug)]
 pub struct StreamingDetector {
     bundle: ModelBundle,
@@ -692,7 +539,9 @@ impl StreamingDetector {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the engine input does
-    /// not match the configured window, or the filter design fails.
+    /// not match the configured window, the network is one the
+    /// streaming interpreter cannot run (the recurrent baselines), or
+    /// the filter design fails.
     pub fn new(
         engine: impl Into<Engine>,
         normalizer: Normalizer,
@@ -710,8 +559,7 @@ impl StreamingDetector {
     }
 
     /// Releases the model/session halves for fleet use: share the
-    /// [`ModelBundle`](crate::session::ModelBundle) behind an `Arc`
-    /// and pool [`Session`](crate::session::Session)s against it.
+    /// [`ModelBundle`] behind an `Arc` and pool [`Session`]s against it.
     pub fn into_parts(self) -> (ModelBundle, Session) {
         (self.bundle, self.session)
     }
@@ -724,19 +572,6 @@ impl StreamingDetector {
     /// The per-stream session half.
     pub fn session(&self) -> &Session {
         &self.session
-    }
-
-    /// Splits the borrow: the exclusive engine context plus the
-    /// session it drives.
-    fn ctx_and_session(&mut self) -> (EngineCtx<'_>, &mut Session) {
-        let Self { bundle, session } = self;
-        (
-            EngineCtx {
-                engine: EngineRef::Exclusive(&mut bundle.engine),
-                normalizer: &bundle.normalizer,
-            },
-            session,
-        )
     }
 
     /// The configuration.
@@ -755,9 +590,9 @@ impl StreamingDetector {
 
     /// Installs a [`DetectorTap`]: a per-sample observer that sees
     /// every ingest event (raw values, guard state, classified windows
-    /// with per-branch attribution). While a tap is installed,
-    /// inference runs through the traced engine path — bit-identical
-    /// scores, plus branch statistics. Replaces any previous tap.
+    /// with per-branch attribution). While a tap is installed, every
+    /// window also records its branch statistics; the scores stay
+    /// bit-identical. Replaces any previous tap.
     pub fn set_tap(&mut self, tap: Box<dyn DetectorTap>) {
         self.session.set_tap(tap);
     }
@@ -835,8 +670,7 @@ impl StreamingDetector {
     /// layers launder it into a constant garbage score — the detector
     /// goes silently blind.
     pub fn push_sample(&mut self, accel: [f32; 3], gyro: [f32; 3]) -> Option<f32> {
-        let (mut ctx, session) = self.ctx_and_session();
-        session.push_sample_with(&mut ctx, accel, gyro)
+        self.session.push_sample(&self.bundle, accel, gyro)
     }
 
     /// Ingests a sample at an explicit 100 Hz grid tick, tolerating
@@ -850,8 +684,7 @@ impl StreamingDetector {
         gyro: [f32; 3],
         out: &mut Vec<f32>,
     ) -> TickOutcome {
-        let (mut ctx, session) = self.ctx_and_session();
-        session.push_at_with(&mut ctx, tick, accel, gyro, Some(out), true)
+        self.session.push_at(&self.bundle, tick, accel, gyro, out)
     }
 
     /// Reports a missing grid tick (the sensor bus delivered nothing at
@@ -868,8 +701,7 @@ impl StreamingDetector {
     /// silently loses grid alignment — the failure mode the guard
     /// exists to prevent.
     pub fn push_missing(&mut self) -> Option<f32> {
-        let (mut ctx, session) = self.ctx_and_session();
-        session.push_missing_with(&mut ctx)
+        self.session.push_missing(&self.bundle)
     }
 
     /// Whether the trigger condition (N consecutive positive windows) is
@@ -1532,21 +1364,5 @@ mod tests {
         assert_eq!(d.guard_status().faults(), faults, "counters survive");
         d.set_guard(GuardConfig::default());
         assert_eq!(d.guard_status().faults(), 0, "set_guard starts over");
-    }
-
-    #[test]
-    fn try_predict_proba_rejects_nonfinite_segments() {
-        let w = 20;
-        let net = ModelKind::ProposedCnn.build(w, 9, 1).unwrap();
-        let mut engine = Engine::from(net);
-        let good = vec![0.1f32; w * 9];
-        let mut bad = good.clone();
-        bad[57] = f32::NAN;
-        assert!(engine.try_predict_proba(&good).is_some());
-        assert!(engine.try_predict_proba(&bad).is_none());
-        // The raw path launders the NaN through `max`-based layers into
-        // a finite garbage score — which is exactly why the validated
-        // path must check the input, not the output.
-        assert!(engine.predict_proba(&bad).is_finite(), "silent laundering");
     }
 }

@@ -14,16 +14,18 @@
 //! [`SessionCheckpoint`] travels as the checksummed `PFSC` byte format,
 //! written and read through [`prefall_telemetry::codec`].
 //!
-//! # Shared inference
+//! # One scoring path
 //!
-//! The exclusive single-wearer path classifies through `&mut Engine`
-//! (which may fall back to the allocating forward pass for
-//! architectures the scalar interpreter cannot run). The shared path
-//! classifies through `&Engine` using the allocation-free scalar
-//! interpreter only — bit-identical scores for supported
-//! architectures, and [`ModelBundle::supports_shared_inference`]
-//! reports support up front so a fleet can refuse an LSTM/ConvLSTM
-//! bundle at construction instead of rejecting windows at runtime.
+//! Every window scores through `&ModelBundle`: a session borrows the
+//! bundle immutably and runs the engine's allocation-free workspace
+//! interpreter on its own scratch [`Workspace`]. A
+//! [`StreamingDetector`](crate::detector::StreamingDetector) is one
+//! bundle driving one session through the same calls, so one wearer
+//! and a fleet of thousands score the same bits by construction.
+//! [`ModelBundle::new`] refuses, with [`CoreError::InvalidConfig`], a
+//! network the interpreter cannot run — the LSTM and ConvLSTM2D
+//! baselines of Table III, which cross-validation evaluates offline —
+//! so no window is ever scored by another route.
 //!
 //! # Tick grid and out-of-order delivery
 //!
@@ -32,8 +34,8 @@
 //! (`guard.ts_regression`) — duplicate and reordered batches become
 //! idempotent re-deliveries instead of silently corrupting the
 //! gap-bridging math. Ticks ahead of the grid bridge the gap through
-//! the existing [`SampleGuard`](crate::detector::SampleGuard) exactly
-//! as [`Session::push_missing`] would, with gaps beyond
+//! the existing [`SampleGuard`] exactly as [`Session::push_missing`]
+//! would, with gaps beyond
 //! [`GuardConfig::max_gap_fill`](crate::detector::GuardConfig::max_gap_fill)
 //! collapsed into one accounting step (same counters, no per-tick tap
 //! callbacks) so a reconnect after minutes costs O(1), not O(gap).
@@ -69,7 +71,6 @@ pub struct ModelBundle {
     pub(crate) normalizer: Normalizer,
     pub(crate) config: DetectorConfig,
     filter_proto: SosFilter,
-    scalar_ready: bool,
 }
 
 impl ModelBundle {
@@ -78,7 +79,9 @@ impl ModelBundle {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the engine input does
-    /// not match the configured window, or the filter design fails.
+    /// not match the configured window, the network is one the
+    /// workspace interpreter cannot run (LSTM, ConvLSTM2D, multi-output
+    /// heads), or the filter design fails.
     pub fn new(
         engine: impl Into<Engine>,
         normalizer: Normalizer,
@@ -100,22 +103,23 @@ impl ModelBundle {
             config.pipeline.filter_cutoff_hz,
             SAMPLE_RATE_HZ,
         )?;
-        // Probe the allocation-free `&self` interpreter once so fleet
-        // construction can refuse unsupported architectures up front.
-        let scalar_ready = match &engine {
-            Engine::Quantized(_) => true,
-            Engine::Float(n) => {
-                let mut ws = Workspace::new();
-                let probe = vec![0.0f32; n.input_len()];
-                n.infer_scalar(&probe, &mut ws).is_some()
+        // The workspace interpreter is the only scoring path: refuse a
+        // network it cannot run now rather than score every window NaN.
+        if let Engine::Float(n) = &engine {
+            let probe = vec![0.0f32; n.input_len()];
+            if n.infer_scalar(&probe, &mut Workspace::new()).is_none() {
+                return Err(CoreError::InvalidConfig {
+                    reason: "the streaming interpreter cannot run this network \
+                             (recurrent and multi-output models evaluate offline only)"
+                        .into(),
+                });
             }
-        };
+        }
         Ok(Self {
             engine,
             normalizer,
             config,
             filter_proto: design.to_filter(),
-            scalar_ready,
         })
     }
 
@@ -125,7 +129,7 @@ impl ModelBundle {
         &self.config
     }
 
-    /// The shared inference engine.
+    /// The inference engine every session scores through.
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
@@ -133,16 +137,6 @@ impl ModelBundle {
     /// The fitted per-channel normaliser.
     pub fn normalizer(&self) -> &Normalizer {
         &self.normalizer
-    }
-
-    /// Whether the `&self` shared-inference path supports this
-    /// engine's architecture. `false` for the LSTM/ConvLSTM baselines,
-    /// whose recurrent layers the allocation-free scalar interpreter
-    /// cannot run — such bundles still work behind a
-    /// [`StreamingDetector`](crate::detector::StreamingDetector), but
-    /// a fleet should reject them at construction.
-    pub fn supports_shared_inference(&self) -> bool {
-        self.scalar_ready
     }
 
     /// Creates a fresh, cold session against this bundle.
@@ -169,72 +163,6 @@ impl ModelBundle {
             scratch_seg: Vec::with_capacity(window * NUM_CHANNELS),
         }
     }
-
-    pub(crate) fn shared_ctx(&self) -> EngineCtx<'_> {
-        EngineCtx {
-            engine: EngineRef::Shared(&self.engine),
-            normalizer: &self.normalizer,
-        }
-    }
-}
-
-/// How a [`Session`] reaches the engine: exclusively (the
-/// single-wearer detector, `&mut` — may use allocating fallbacks) or
-/// shared (`&` — fleet serving, scalar interpreter only).
-pub(crate) enum EngineRef<'a> {
-    Exclusive(&'a mut Engine),
-    Shared(&'a Engine),
-}
-
-impl EngineRef<'_> {
-    fn try_in(&mut self, seg: &[f32], ws: &mut Workspace) -> Option<f32> {
-        match self {
-            EngineRef::Exclusive(e) => e.try_predict_proba_in(seg, ws),
-            EngineRef::Shared(e) => e.try_predict_proba_shared(seg, ws),
-        }
-    }
-
-    fn try_traced_in(
-        &mut self,
-        seg: &[f32],
-        trace: &mut Vec<BranchStat>,
-        ws: &mut Workspace,
-    ) -> Option<f32> {
-        match self {
-            EngineRef::Exclusive(e) => e.try_predict_proba_traced_in(seg, trace, ws),
-            EngineRef::Shared(e) => e.try_predict_proba_traced_shared(seg, trace, ws),
-        }
-    }
-
-    fn raw_in(&mut self, seg: &[f32], ws: &mut Workspace) -> f32 {
-        match self {
-            EngineRef::Exclusive(e) => e.predict_proba_in(seg, ws),
-            // Unsupported architectures cannot be computed without
-            // `&mut`; NaN is the honest "no score" on the raw path.
-            EngineRef::Shared(e) => e.predict_proba_shared(seg, ws).unwrap_or(f32::NAN),
-        }
-    }
-
-    fn raw_traced_in(
-        &mut self,
-        seg: &[f32],
-        trace: &mut Vec<BranchStat>,
-        ws: &mut Workspace,
-    ) -> f32 {
-        match self {
-            EngineRef::Exclusive(e) => e.predict_proba_traced_in(seg, trace, ws),
-            EngineRef::Shared(e) => e
-                .predict_proba_traced_shared(seg, trace, ws)
-                .unwrap_or(f32::NAN),
-        }
-    }
-}
-
-/// Everything a [`Session`] borrows per push: the engine (exclusive or
-/// shared) and the normaliser.
-pub(crate) struct EngineCtx<'a> {
-    pub(crate) engine: EngineRef<'a>,
-    pub(crate) normalizer: &'a Normalizer,
 }
 
 /// What happened to one tick pushed via [`Session::push_at`].
@@ -389,26 +317,28 @@ impl Session {
         }
     }
 
-    /// Feeds one raw sample through the shared-inference path.
-    /// Equivalent to
-    /// [`StreamingDetector::push_sample`](crate::detector::StreamingDetector::push_sample)
-    /// but borrowing the model immutably from `bundle`.
+    /// Feeds one raw sample, scoring against `bundle` (see
+    /// [`StreamingDetector::push_sample`](crate::detector::StreamingDetector::push_sample)).
     pub fn push_sample(
         &mut self,
         bundle: &ModelBundle,
         accel: [f32; 3],
         gyro: [f32; 3],
     ) -> Option<f32> {
-        let mut ctx = bundle.shared_ctx();
-        self.push_sample_with(&mut ctx, accel, gyro)
+        self.push_tick(bundle, accel, gyro, true).0
     }
 
-    /// Reports a missing grid tick through the shared-inference path
-    /// (see
+    /// Reports a missing grid tick, scoring against `bundle` (see
     /// [`StreamingDetector::push_missing`](crate::detector::StreamingDetector::push_missing)).
     pub fn push_missing(&mut self, bundle: &ModelBundle) -> Option<f32> {
-        let mut ctx = bundle.shared_ctx();
-        self.push_missing_with(&mut ctx)
+        if !self.guard.cfg.enabled {
+            // The naive path never learns a tick passed — but a tap
+            // still records the event so a replay stays faithful.
+            let (accel, gyro) = self.guard.fill_value();
+            self.tap_after(accel, gyro, true, None);
+            return None;
+        }
+        self.push_missing_tick(bundle, true).0
     }
 
     /// Ingests a sample at an explicit grid tick, tolerating
@@ -423,8 +353,7 @@ impl Session {
         gyro: [f32; 3],
         out: &mut Vec<f32>,
     ) -> TickOutcome {
-        let mut ctx = bundle.shared_ctx();
-        self.push_at_with(&mut ctx, tick, accel, gyro, Some(out), true)
+        self.ingest_at(bundle, tick, accel, gyro, Some(out), true)
     }
 
     /// [`Session::push_at`] under load shedding: guard, filters,
@@ -439,8 +368,7 @@ impl Session {
         accel: [f32; 3],
         gyro: [f32; 3],
     ) -> TickOutcome {
-        let mut ctx = bundle.shared_ctx();
-        self.push_at_with(&mut ctx, tick, accel, gyro, None, false)
+        self.ingest_at(bundle, tick, accel, gyro, None, false)
     }
 
     /// Captures the complete per-stream state for crash-safe resume.
@@ -518,48 +446,28 @@ impl Session {
         Ok(())
     }
 
-    pub(crate) fn push_sample_with(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        accel: [f32; 3],
-        gyro: [f32; 3],
-    ) -> Option<f32> {
-        self.push_tick(ctx, accel, gyro, true).0
-    }
-
     /// One delivered tick: guard (or raw) ingest, then the tap.
     /// Returns `(probability, shed_boundary)`.
     fn push_tick(
         &mut self,
-        ctx: &mut EngineCtx<'_>,
+        bundle: &ModelBundle,
         accel: [f32; 3],
         gyro: [f32; 3],
         infer: bool,
     ) -> (Option<f32>, bool) {
         let (prob, shed) = if self.guard.cfg.enabled {
             self.guard.next_tick = self.guard.next_tick.wrapping_add(1);
-            self.push_guarded(ctx, accel, gyro, false, infer)
+            self.push_guarded(bundle, accel, gyro, false, infer)
         } else {
-            self.push_raw(ctx, accel, gyro, infer)
+            self.push_raw(bundle, accel, gyro, infer)
         };
         self.tap_after(accel, gyro, false, prob);
         (prob, shed)
     }
 
-    pub(crate) fn push_missing_with(&mut self, ctx: &mut EngineCtx<'_>) -> Option<f32> {
-        if !self.guard.cfg.enabled {
-            // The naive path never learns a tick passed — but a tap
-            // still records the event so a replay stays faithful.
-            let (accel, gyro) = self.guard.fill_value();
-            self.tap_after(accel, gyro, true, None);
-            return None;
-        }
-        self.push_missing_tick(ctx, true).0
-    }
-
     /// One missing tick on the guarded path. Returns
     /// `(probability, shed_boundary)`.
-    fn push_missing_tick(&mut self, ctx: &mut EngineCtx<'_>, infer: bool) -> (Option<f32>, bool) {
+    fn push_missing_tick(&mut self, bundle: &ModelBundle, infer: bool) -> (Option<f32>, bool) {
         let before = self.guard.status;
         self.guard.status.samples += 1;
         self.guard.next_tick = self.guard.next_tick.wrapping_add(1);
@@ -584,7 +492,7 @@ impl Session {
         }
         let (accel, gyro) = self.guard.fill_value();
         let (prob, shed) = if bridged {
-            self.push_guarded(ctx, accel, gyro, true, infer)
+            self.push_guarded(bundle, accel, gyro, true, infer)
         } else {
             (None, false)
         };
@@ -592,9 +500,11 @@ impl Session {
         (prob, shed)
     }
 
-    pub(crate) fn push_at_with(
+    /// [`Session::push_at`] and [`Session::push_at_shed`]: `out`
+    /// collects the window scores, `infer` off sheds inference.
+    fn ingest_at(
         &mut self,
-        ctx: &mut EngineCtx<'_>,
+        bundle: &ModelBundle,
         tick: u64,
         accel: [f32; 3],
         gyro: [f32; 3],
@@ -615,7 +525,7 @@ impl Session {
         };
         if !self.guard.cfg.enabled {
             // The naive path has no grid: ingest in arrival order.
-            let (prob, shed) = self.push_tick(ctx, accel, gyro, infer);
+            let (prob, shed) = self.push_tick(bundle, accel, gyro, infer);
             collect(&mut res, prob, shed);
             return res;
         }
@@ -637,7 +547,7 @@ impl Session {
             let mut remaining = tick - expected;
             let max_fill = self.guard.cfg.max_gap_fill as u64;
             while remaining > 0 && (self.guard.gap_run as u64) < max_fill {
-                let (prob, shed) = self.push_missing_tick(ctx, infer);
+                let (prob, shed) = self.push_missing_tick(bundle, infer);
                 collect(&mut res, prob, shed);
                 remaining -= 1;
             }
@@ -659,7 +569,7 @@ impl Session {
                 }
             }
         }
-        let (prob, shed) = self.push_tick(ctx, accel, gyro, infer);
+        let (prob, shed) = self.push_tick(bundle, accel, gyro, infer);
         collect(&mut res, prob, shed);
         res
     }
@@ -711,7 +621,7 @@ impl Session {
     /// Returns `(probability, shed_boundary)`.
     fn push_guarded(
         &mut self,
-        ctx: &mut EngineCtx<'_>,
+        bundle: &ModelBundle,
         accel: [f32; 3],
         gyro: [f32; 3],
         synthetic: bool,
@@ -747,44 +657,10 @@ impl Session {
         } else {
             gyro
         };
-        let euler = self.fusion.update(
-            [
-                f64::from(accel[0]),
-                f64::from(accel[1]),
-                f64::from(accel[2]),
-            ],
-            [
-                f64::from(fused_gyro[0]),
-                f64::from(fused_gyro[1]),
-                f64::from(fused_gyro[2]),
-            ],
-        );
-        let raw = [
-            accel[0],
-            accel[1],
-            accel[2],
-            gyro[0],
-            gyro[1],
-            gyro[2],
-            euler.pitch as f32,
-            euler.roll as f32,
-            euler.yaw as f32,
-        ];
-        let mut row = [0.0f32; NUM_CHANNELS];
-        for (c, (f, &v)) in self.filters.iter_mut().zip(&raw).enumerate() {
-            row[c] = f.process(v);
-        }
+        let boundary = self.push_row(accel, gyro, fused_gyro);
 
-        let w = self.window_len;
-        if self.window.len() == w {
-            self.window.pop_front();
-        }
-        self.window.push_back(row);
-        self.samples_seen += 1;
-
-        let hop = self.hop;
         let mut shed_boundary = false;
-        let prob = if self.window.len() < w || !(self.samples_seen - w).is_multiple_of(hop) {
+        let prob = if !boundary {
             None
         } else if !infer {
             // Load shedding: the window boundary passes unclassified.
@@ -803,31 +679,34 @@ impl Session {
             for r in &self.window {
                 seg.extend_from_slice(r);
             }
-            ctx.normalizer.apply_in_place(&mut seg);
+            bundle.normalizer.apply_in_place(&mut seg);
             let mode = self.guard.mode;
             if mode.accel_degraded || mode.gyro_degraded {
                 let from = if mode.accel_degraded { 0 } else { 3 };
                 let to = if mode.gyro_degraded { 6 } else { 3 };
-                for r in 0..w {
-                    for c in from..to {
-                        seg[r * NUM_CHANNELS + c] = 0.0;
-                    }
+                for row in seg.chunks_exact_mut(NUM_CHANNELS) {
+                    row[from..to].fill(0.0);
                 }
             }
             let p = {
                 let _infer_span = Span::enter(rec.as_ref(), "detector.infer_seconds");
-                let scored = if self.tap.is_some() {
-                    ctx.engine
-                        .try_traced_in(&seg, &mut self.last_trace, &mut ws)
+                let trace = self.tap.is_some().then_some(&mut self.last_trace);
+                // The engine launders a NaN input into a finite score
+                // (see `Engine::score`), so the segment is checked
+                // before scoring and the score after.
+                let p = if seg.iter().all(|v| v.is_finite()) {
+                    bundle.engine.score(&seg, &mut ws, trace)
                 } else {
-                    ctx.engine.try_in(&seg, &mut ws)
-                };
-                match scored {
-                    Some(p) => p,
-                    None => {
-                        self.guard.status.engine_rejects += 1;
-                        0.0
+                    if let Some(t) = trace {
+                        t.clear();
                     }
+                    f32::NAN
+                };
+                if p.is_finite() {
+                    p
+                } else {
+                    self.guard.status.engine_rejects += 1;
+                    0.0
                 }
             };
             self.scratch_seg = seg;
@@ -861,7 +740,7 @@ impl Session {
     /// behaviour. Returns `(probability, shed_boundary)`.
     fn push_raw(
         &mut self,
-        ctx: &mut EngineCtx<'_>,
+        bundle: &ModelBundle,
         accel: [f32; 3],
         gyro: [f32; 3],
         infer: bool,
@@ -870,15 +749,48 @@ impl Session {
         // for the mutable streaming state below.
         let rec = Arc::clone(&self.rec);
         let _push_span = Span::enter(rec.as_ref(), "detector.push_sample_seconds");
-        // On-edge sensor fusion, exactly like the acquisition firmware.
-        let euler = self.fusion.update(
-            [
-                f64::from(accel[0]),
-                f64::from(accel[1]),
-                f64::from(accel[2]),
-            ],
-            [f64::from(gyro[0]), f64::from(gyro[1]), f64::from(gyro[2])],
-        );
+        if !self.push_row(accel, gyro, gyro) {
+            return (None, false);
+        }
+        if !infer {
+            return (None, true);
+        }
+
+        // Assemble, normalise, classify. Scratch reuse as in
+        // `push_guarded`: no per-window heap allocation.
+        let mut seg = std::mem::take(&mut self.scratch_seg);
+        let mut ws = std::mem::take(&mut self.ws);
+        seg.clear();
+        for r in &self.window {
+            seg.extend_from_slice(r);
+        }
+        bundle.normalizer.apply_in_place(&mut seg);
+        let prob = {
+            let _infer_span = Span::enter(rec.as_ref(), "detector.infer_seconds");
+            let trace = self.tap.is_some().then_some(&mut self.last_trace);
+            bundle.engine.score(&seg, &mut ws, trace)
+        };
+        self.scratch_seg = seg;
+        self.ws = ws;
+        if rec.enabled() {
+            rec.counter_add("detector.windows", 1);
+        }
+        if prob >= self.threshold {
+            self.positives_in_a_row += 1;
+        } else {
+            self.positives_in_a_row = 0;
+        }
+        (Some(prob), false)
+    }
+
+    /// On-edge sensor fusion (integrating `fusion_gyro`), exactly like
+    /// the acquisition firmware, then the low-pass filters; the row
+    /// enters the sliding window. Returns whether the window is full on
+    /// a hop boundary, i.e. due to be classified.
+    fn push_row(&mut self, accel: [f32; 3], gyro: [f32; 3], fusion_gyro: [f32; 3]) -> bool {
+        let euler = self
+            .fusion
+            .update(accel.map(f64::from), fusion_gyro.map(f64::from));
         let raw = [
             accel[0],
             accel[1],
@@ -894,51 +806,13 @@ impl Session {
         for (c, (f, &v)) in self.filters.iter_mut().zip(&raw).enumerate() {
             row[c] = f.process(v);
         }
-
         let w = self.window_len;
         if self.window.len() == w {
             self.window.pop_front();
         }
         self.window.push_back(row);
         self.samples_seen += 1;
-
-        let hop = self.hop;
-        if self.window.len() < w || !(self.samples_seen - w).is_multiple_of(hop) {
-            return (None, false);
-        }
-        if !infer {
-            return (None, true);
-        }
-
-        // Assemble, normalise, classify. Scratch reuse as in
-        // `push_guarded`: no per-window heap allocation.
-        let mut seg = std::mem::take(&mut self.scratch_seg);
-        let mut ws = std::mem::take(&mut self.ws);
-        seg.clear();
-        for r in &self.window {
-            seg.extend_from_slice(r);
-        }
-        ctx.normalizer.apply_in_place(&mut seg);
-        let prob = {
-            let _infer_span = Span::enter(rec.as_ref(), "detector.infer_seconds");
-            if self.tap.is_some() {
-                ctx.engine
-                    .raw_traced_in(&seg, &mut self.last_trace, &mut ws)
-            } else {
-                ctx.engine.raw_in(&seg, &mut ws)
-            }
-        };
-        self.scratch_seg = seg;
-        self.ws = ws;
-        if rec.enabled() {
-            rec.counter_add("detector.windows", 1);
-        }
-        if prob >= self.threshold {
-            self.positives_in_a_row += 1;
-        } else {
-            self.positives_in_a_row = 0;
-        }
-        (Some(prob), false)
+        self.window.len() == w && (self.samples_seen - w).is_multiple_of(self.hop)
     }
 
     fn guard_allows_trigger(&self) -> bool {
@@ -1286,7 +1160,6 @@ mod tests {
     #[test]
     fn shared_session_matches_serial_detector_bitwise() {
         let b = bundle();
-        assert!(b.supports_shared_inference());
         let mut session = b.new_session();
         let cfg = config();
         let w = cfg.pipeline.segmentation.window();
@@ -1525,14 +1398,56 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_architectures_are_reported() {
+    fn recurrent_networks_are_refused_for_streaming() {
         let cfg = config();
         let w = cfg.pipeline.segmentation.window();
-        let net = ModelKind::Lstm.build(w, 9, 5).unwrap();
-        let b = ModelBundle::new(net, Normalizer::identity(9), cfg).unwrap();
-        assert!(
-            !b.supports_shared_inference(),
-            "recurrent baselines cannot run the shared scalar path"
-        );
+        for kind in [ModelKind::Lstm, ModelKind::ConvLstm2d] {
+            let net = kind.build(w, 9, 5).unwrap();
+            let err = ModelBundle::new(net, Normalizer::identity(9), cfg).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidConfig { .. }),
+                "{kind}: {err}"
+            );
+            let net = kind.build(w, 9, 5).unwrap();
+            let err = StreamingDetector::new(net, Normalizer::identity(9), cfg).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidConfig { .. }),
+                "{kind}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn nonfinite_segments_are_rejected_guarded_and_laundered_raw() {
+        // A NaN normaliser mean poisons one channel of every segment
+        // after the guard has already cleaned the samples.
+        let cfg = config();
+        let w = cfg.pipeline.segmentation.window();
+        let mut means = vec![0.0f32; 9];
+        means[3] = f32::NAN;
+        let norm = Normalizer::from_parts(means, vec![1.0; 9]).unwrap();
+        let net = ModelKind::ProposedCnn.build(w, 9, 5).unwrap();
+        let b = ModelBundle::new(net, norm, cfg).unwrap();
+
+        let mut guarded = b.new_session();
+        let mut raw = b.new_session();
+        raw.set_guard(GuardConfig::disabled());
+        let mut windows = 0;
+        for i in 0..100 {
+            let (a, g) = wiggle(i);
+            if let Some(p) = guarded.push_sample(&b, a, g) {
+                assert_eq!(p, 0.0, "a rejected window scores 0");
+                windows += 1;
+            }
+            // The raw path launders the NaN through `max`-based layers
+            // into a finite garbage score — which is exactly why the
+            // guarded path must check the input, not the output.
+            if let Some(p) = raw.push_sample(&b, a, g) {
+                assert!(p.is_finite(), "silent laundering");
+            }
+        }
+        assert!(windows > 0);
+        assert_eq!(guarded.guard_status().engine_rejects, windows);
+        assert_eq!(guarded.guard_status().windows, windows);
     }
 }

@@ -17,8 +17,10 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// When `true`, [`Conv1d::forward`](crate::layers::Conv1d) and the
-/// workspace inference path fall back to the naive reference kernels.
+/// When `true`, [`Conv1d::forward`](crate::layers::Conv1d),
+/// [`Dense::forward`](crate::layers::Dense) and every step of the
+/// workspace interpreter fall back to the naive reference kernels (the
+/// interpreter also skips its fused conv→ReLU→pool peephole).
 static REFERENCE_KERNELS: AtomicBool = AtomicBool::new(false);
 
 /// Forces (or releases) the naive reference kernels process-wide.
@@ -304,6 +306,23 @@ pub fn fused_conv_relu_maxpool_packed(
             }
             out[po * filters + f] = best;
         }
+    }
+}
+
+/// The naive dense loop — the reference [`dense_forward`] and
+/// [`dense_forward_packed`] are validated against. Each output is
+/// `bias[o] + Σ w[o][j]·x[j]`, summed with `j` ascending from `0.0`.
+pub fn dense_reference(input: &[f32], weights: &[f32], biases: &[f32], out: &mut [f32]) {
+    let in_len = input.len();
+    assert_eq!(weights.len(), in_len * out.len(), "dense weight length");
+    assert_eq!(biases.len(), out.len(), "dense bias length");
+    for (o, out_v) in out.iter_mut().enumerate() {
+        let row = &weights[o * in_len..(o + 1) * in_len];
+        let mut acc = 0.0f32;
+        for (wv, xv) in row.iter().zip(input) {
+            acc += wv * xv;
+        }
+        *out_v = biases[o] + acc;
     }
 }
 

@@ -172,16 +172,9 @@ impl Layer for Dense {
         self.input_cache.extend_from_slice(input);
         let mut out = self.b.w.clone();
         if kernels::reference_kernels() {
-            for (o, out_v) in out.iter_mut().enumerate() {
-                let row = &self.w.w[o * self.in_len..(o + 1) * self.in_len];
-                let mut acc = 0.0f32;
-                for (wv, xv) in row.iter().zip(input) {
-                    acc += wv * xv;
-                }
-                *out_v += acc;
-            }
+            kernels::dense_reference(input, &self.w.w, &self.b.w, &mut out);
         } else if self.out_len >= 8 {
-            // Interleaved-pack kernel, bit-identical to the loop above
+            // Interleaved-pack kernel, bit-identical to the reference
             // (each output's accumulator still sums `j` ascending from
             // 0.0). The pack is cached across calls and rebuilt only
             // when the weights change, so its cost amortises over a
@@ -189,7 +182,7 @@ impl Layer for Dense {
             self.ensure_packed();
             kernels::dense_forward_packed(input, &self.w.w, &self.packed, &self.b.w, &mut out);
         } else {
-            // Register-blocked, bit-identical to the loop above.
+            // Register-blocked, bit-identical to the reference.
             kernels::dense_forward(input, &self.w.w, &self.b.w, &mut out);
         }
         out

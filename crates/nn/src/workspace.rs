@@ -16,9 +16,14 @@
 //! kernels preserve the naive accumulation order exactly — so incident
 //! replay and the traced forward see the same bits either way.
 //!
+//! With [`kernels::set_reference_kernels`] on, every step runs its
+//! naive reference kernel and the peephole is skipped — the same bits,
+//! at the seed implementation's speed.
+//!
 //! Architectures the interpreter does not cover (LSTM, ConvLSTM, nested
-//! splits, multi-output heads) return `None`; callers fall back to the
-//! allocating [`Network::forward`].
+//! splits, multi-output heads) return `None`. They run only through the
+//! allocating [`Network::forward`]; the streaming detector refuses them
+//! when it is built.
 
 use crate::kernels;
 use crate::layers::{Conv1d, Dense, Layer, MaxPool1d, Relu, Sigmoid, SplitConcat};
@@ -99,9 +104,11 @@ impl Workspace {
 /// `cur` and writing `nxt`. Returns how many layers were consumed, or
 /// `None` when `rest[0]` is not supported by the interpreter.
 fn step(rest: &[Box<dyn Layer>], cur: &[f32], nxt: &mut Vec<f32>) -> Option<usize> {
+    let reference = kernels::reference_kernels();
     // Peephole: Conv1d → Relu → MaxPool1d collapses into the fused
     // kernel (bit-identical to running the three layers in sequence).
-    if rest.len() >= 3 {
+    // The reference kernels run the three layers one by one instead.
+    if !reference && rest.len() >= 3 {
         if let (Some(conv), Some(_), Some(pool)) = (
             rest[0].as_any().downcast_ref::<Conv1d>(),
             rest[1].as_any().downcast_ref::<Relu>(),
@@ -150,7 +157,9 @@ fn step(rest: &[Box<dyn Layer>], cur: &[f32], nxt: &mut Vec<f32>) -> Option<usiz
     if let Some(d) = layer.as_any().downcast_ref::<Dense>() {
         let _span = prefall_trace::trace_detail_span!(trace_names().dense);
         nxt.resize(d.out_len(), 0.0);
-        if let Some(packed) = d.fresh_pack() {
+        if reference {
+            kernels::dense_reference(cur, d.weights(), d.biases(), nxt);
+        } else if let Some(packed) = d.fresh_pack() {
             kernels::dense_forward_packed(cur, d.weights(), packed, d.biases(), nxt);
         } else {
             kernels::dense_forward(cur, d.weights(), d.biases(), nxt);
@@ -178,7 +187,7 @@ fn step(rest: &[Box<dyn Layer>], cur: &[f32], nxt: &mut Vec<f32>) -> Option<usiz
     if let Some(conv) = layer.as_any().downcast_ref::<Conv1d>() {
         let _span = prefall_trace::trace_detail_span!(trace_names().conv);
         nxt.resize(conv.output_len(), 0.0);
-        if kernels::reference_kernels() {
+        if reference {
             kernels::conv1d_reference(
                 cur,
                 conv.weights(),
@@ -247,8 +256,8 @@ impl Network {
     ///
     /// Returns `None` when the architecture contains a layer the
     /// interpreter does not support (LSTM, ConvLSTM, nested splits) or
-    /// the output is not a single scalar — callers fall back to
-    /// [`Network::forward`].
+    /// the output is not a single scalar; such networks run only
+    /// through [`Network::forward`].
     ///
     /// # Panics
     ///

@@ -10,7 +10,8 @@
 //! to document a ULP bound instead; none does.)
 
 use prefall_nn::kernels::{
-    conv1d_blocked, conv1d_reference, dense_forward, fused_conv_relu_maxpool, maxpool_forward,
+    conv1d_blocked, conv1d_reference, dense_forward, dense_reference, fused_conv_relu_maxpool,
+    maxpool_forward,
 };
 use prefall_nn::layers::{Conv1d, Layer};
 use proptest::prelude::*;
@@ -137,5 +138,8 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(bits(&got), bits(&want));
+        let mut naive = vec![0.0f32; out_len];
+        dense_reference(&input, &w, &b, &mut naive);
+        prop_assert_eq!(bits(&naive), bits(&want));
     }
 }

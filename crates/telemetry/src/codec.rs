@@ -19,17 +19,51 @@
 //! [`Reader::finish`] refuses trailing bytes. Each format keeps its own
 //! layout, header, caps and error type, and maps [`CodecError`] into
 //! that error type once.
+//!
+//! [`Fnv1a`] is the same hash fed in pieces; the preprocessing cache
+//! keys its segment sets with it.
 
 use std::fmt;
 
 /// FNV-1a 64-bit hash — tiny, dependency-free, stable across builds.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a64`]: feeding the bytes in pieces gives the same
+/// hash as hashing them in one slice.
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher that has seen no bytes yet.
+    #[inline]
+    pub fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Folds `bytes` into the hash.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte written so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Why bytes could not be decoded.
@@ -277,6 +311,11 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        let mut h = Fnv1a::new();
+        h.write(b"foo");
+        h.write(b"");
+        h.write(b"bar");
+        assert_eq!(h.finish(), 0x85944171f73967e8);
     }
 
     #[test]
